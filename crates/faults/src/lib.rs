@@ -128,9 +128,11 @@ pub fn reset() {
     ARMED.store(false, Ordering::Release);
 }
 
-/// How many times [`fire`] evaluated `point` while *any* fault was
-/// armed. Counts evaluations, not firings, so a retry loop's attempt
-/// count is observable even after a limited plan goes quiet.
+/// How many times [`fire`] evaluated `point` while `point` itself was
+/// registered (armed, or a spent limited plan whose guard is still
+/// alive). Counts evaluations, not firings, so a retry loop's attempt
+/// count is observable even after a limited plan goes quiet; arming
+/// some *other* point never makes `point` count.
 pub fn hits(point: &str) -> u64 {
     registry().hits.get(point).copied().unwrap_or(0)
 }
@@ -144,8 +146,9 @@ pub fn fire(point: &'static str) -> Option<FaultAction> {
         return None;
     }
     let mut reg = registry();
-    *reg.hits.entry(point).or_insert(0) += 1;
-    let plan = reg.plans.get_mut(point)?;
+    let Registry { plans, hits } = &mut *reg;
+    let plan = plans.get_mut(point)?;
+    *hits.entry(point).or_insert(0) += 1;
     match &mut plan.remaining {
         None => Some(plan.action.clone()),
         Some(0) => None,
@@ -167,6 +170,14 @@ mod tests {
     fn unarmed_points_fire_nothing() {
         assert_eq!(fire("test.unarmed"), None);
         assert_eq!(hits("test.unarmed"), 0);
+    }
+
+    #[test]
+    fn arming_another_point_does_not_count_hits_here() {
+        let _guard = arm("test.other", FaultAction::Panic);
+        assert_eq!(fire("test.bystander"), None);
+        assert_eq!(hits("test.bystander"), 0);
+        assert_eq!(hits("test.other"), 0, "arming alone is not a hit");
     }
 
     #[test]

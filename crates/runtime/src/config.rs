@@ -37,10 +37,16 @@ pub struct RuntimeConfig {
     /// once the batch holds this many images. A single request larger than
     /// `max_batch` is still served (alone, in one dispatch). Default: 8.
     pub max_batch: usize,
-    /// How long a worker holding a partial batch waits for more
-    /// compatible requests before dispatching — the classic dynamic
-    /// batching latency/throughput knob. `Duration::ZERO` dispatches the
-    /// backlog as-is without ever waiting. Default: 2 ms.
+    /// The straggler wait: how long a worker holding a partial batch
+    /// waits for more compatible requests. While the pool is quiet the
+    /// batcher is work-conserving: a partial batch seals at once when the
+    /// queue is empty and another worker is idle, and it waits only while
+    /// **every other worker is busy**, ending early as soon as any worker
+    /// turns idle. Under sustained load — a dispatch finished less than
+    /// half of `max_wait` before the batch was anchored — it waits out
+    /// the full window. A one-worker runtime never has another idle
+    /// worker, so it always waits out the full window. `Duration::ZERO`
+    /// dispatches the backlog as-is without ever waiting. Default: 2 ms.
     pub max_wait: Duration,
     /// Load-shedding policy. Default: never shed (admission is bounded by
     /// `queue_capacity` alone).

@@ -5,7 +5,7 @@
 //! [`Engine`](scales_serve::Engine) into a multi-tenant server — bounded
 //! submission queue with explicit backpressure, cross-request dynamic
 //! batching, and a mutex-sharded [`metrics`] subsystem. No external
-//! dependencies, no async executor: plain threads, a `Mutex` + two
+//! dependencies, no async executor: plain threads, a `Mutex` + three
 //! `Condvar`s for the queue, and a `Mutex` + `Condvar` one-shot per
 //! in-flight request.
 //!
@@ -25,11 +25,18 @@
 //! 3. Workers run the **dynamic batcher**: after popping a request they
 //!    gather further compatible queued requests — same per-request tile
 //!    override, up to [`max_batch`](RuntimeConfig::max_batch) images —
-//!    waiting up to [`max_wait`](RuntimeConfig::max_wait) for stragglers,
 //!    then serve the coalesced set through **one** `Session::infer` call.
 //!    Same-shaped images across callers share one planned forward (the
 //!    session's shape-bucketed micro-batching), so many small single-image
-//!    callers amortize dispatch, plan lookup, and GEMM setup.
+//!    callers amortize dispatch, plan lookup, and GEMM setup. A backlog
+//!    is always coalesced. While the pool is quiet the batcher is
+//!    **work-conserving**: once the queue is empty a partial batch seals
+//!    at once if another worker is idle, and only while every other
+//!    worker is busy does it wait up to
+//!    [`max_wait`](RuntimeConfig::max_wait) for stragglers, a wait that
+//!    ends as soon as a worker turns idle. Under sustained load (a
+//!    dispatch finished within the last half window) it waits out the
+//!    window, as does a one-worker pool.
 //! 4. Each caller's [`Ticket`] resolves to its own
 //!    [`SrResponse`](scales_serve::SrResponse) — the images of *its*
 //!    request, in *its* order, bit-identical (`f32::to_bits`) to what a

@@ -258,6 +258,15 @@ struct QueueState {
     /// Counters of retired lanes and of lane-less refusals (see
     /// [`LaneTotals`]).
     retired: LaneTotals,
+    /// Workers that found nothing to pop and have not popped work since.
+    /// While one exists, the batcher seals a lone batch at once instead
+    /// of holding it for stragglers.
+    idle: usize,
+    /// Busy → idle transitions so far. A straggler wait ends when this
+    /// moves, even if the newly idle worker has already taken work again.
+    went_idle: u64,
+    /// Workers parked in a straggler wait on [`Inner::straggle`].
+    stragglers: usize,
 }
 
 impl QueueState {
@@ -276,6 +285,9 @@ impl QueueState {
             high_water: 0,
             failed_unserved: 0,
             retired: LaneTotals::default(),
+            idle: 0,
+            went_idle: 0,
+            stragglers: 0,
         }
     }
 }
@@ -351,8 +363,13 @@ struct Inner {
     engine: Engine<'static>,
     config: RuntimeConfig,
     state: Mutex<QueueState>,
-    /// Signaled on enqueue and on shutdown: workers wait here.
+    /// Signaled on enqueue and on shutdown: idle workers wait here.
     work: Condvar,
+    /// Signaled on enqueue, on every busy → idle transition, and on
+    /// shutdown: workers holding a partial batch wait here for
+    /// stragglers. Kept apart from `work` so a worker turning idle never
+    /// wakes the other idle workers.
+    straggle: Condvar,
     /// Signaled on dequeue and on shutdown: [`Runtime::submit_wait`]
     /// blockers wait here.
     space: Condvar,
@@ -381,6 +398,11 @@ struct Inner {
     /// behind `p99_ns`. Lock order: `state` before `recent`, never the
     /// reverse.
     recent: Mutex<VecDeque<u64>>,
+    /// When the latest dispatch's forward finished, as nanoseconds since
+    /// `started` (0 before the first). Written before that dispatch's
+    /// callers are resolved, so a request one of them submits next sees
+    /// it; the batcher reads it to tell sustained load from a quiet pool.
+    served_ns: AtomicU64,
     started: Instant,
 }
 
@@ -392,7 +414,13 @@ const P99_WINDOW: usize = 256;
 /// Nanoseconds since the runtime started, saturating (585 years of
 /// uptime overflows u64 — not a case worth branching for).
 fn elapsed_ns(inner: &Inner) -> u64 {
-    u64::try_from(inner.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    ns_at(inner, Instant::now())
+}
+
+/// `at` as nanoseconds since the runtime started, saturating like
+/// [`elapsed_ns`].
+fn ns_at(inner: &Inner, at: Instant) -> u64 {
+    u64::try_from(at.saturating_duration_since(inner.started).as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// A running worker pool over one shared [`Engine`].
@@ -435,12 +463,14 @@ impl Runtime {
             config,
             state: Mutex::new(state),
             work: Condvar::new(),
+            straggle: Condvar::new(),
             space: Condvar::new(),
             shards: (0..workers).map(|_| Mutex::new(WorkerShard::default())).collect(),
             alive: AtomicUsize::new(workers),
             p99_ns: AtomicU64::new(0),
             p99_at_ns: AtomicU64::new(0),
             recent: Mutex::new(VecDeque::with_capacity(P99_WINDOW)),
+            served_ns: AtomicU64::new(0),
             started: Instant::now(),
         });
         let mut handles = Vec::with_capacity(workers);
@@ -663,6 +693,9 @@ impl Runtime {
         st.total_queued += 1;
         st.high_water = st.high_water.max(st.total_queued);
         self.inner.work.notify_one();
+        if st.stragglers > 0 {
+            self.inner.straggle.notify_one();
+        }
         ticket
     }
 
@@ -690,6 +723,7 @@ impl Runtime {
         st.shutting_down = true;
         drop(st);
         self.inner.work.notify_all();
+        self.inner.straggle.notify_all();
         self.inner.space.notify_all();
     }
 }
@@ -1018,19 +1052,46 @@ fn gather_round(
 
 /// The cross-request dynamic batcher. Blocks for work (waking early to
 /// retract expired entries), anchors a batch on the scheduler's pick,
-/// then gathers compatible heads across the lanes — waiting up to
-/// `max_wait` for stragglers while the queue is empty. Returns `None`
-/// when the runtime is shutting down and the lanes are fully drained;
-/// the returned batch can be empty when everything gathered expired
-/// during the straggler window.
+/// then gathers compatible heads across the lanes.
+///
+/// The batcher is work-conserving while the pool is quiet: once the
+/// queue is empty, a partial batch seals at once if another worker is
+/// idle, because holding it could only delay a request some worker is
+/// free to serve. While every other worker is busy it waits — up to
+/// `max_wait` — for stragglers to coalesce with, and that wait ends as
+/// soon as any worker turns idle. Under sustained load — a dispatch
+/// finished less than half a window before this batch was anchored — it
+/// waits out the full window instead, idle workers or not, so callers
+/// streaming requests back to back are paced by the window rather than
+/// by how fast the host happens to run. A one-worker runtime never has
+/// another idle worker, so it always waits out the window. A backlog is
+/// coalesced either way.
+///
+/// Returns `None` when the runtime is shutting down and the lanes are
+/// fully drained; the returned batch can be empty when everything
+/// gathered expired during the straggler wait.
 fn next_dispatch(inner: &Inner) -> Option<Vec<Entry>> {
     let mut st = lock(&inner.state);
+    // Whether this worker is counted in `st.idle`: set once when it
+    // finds nothing to pop, so spurious wake-ups never re-count it.
+    let mut idle = false;
     let first = loop {
         if let Some(entry) = pop_next(inner, &mut st, Instant::now()) {
             break entry;
         }
         if st.shutting_down {
+            if idle {
+                st.idle -= 1;
+            }
             return None;
+        }
+        if !idle {
+            idle = true;
+            st.idle += 1;
+            st.went_idle += 1;
+            if st.stragglers > 0 {
+                inner.straggle.notify_all();
+            }
         }
         // Sleep until work arrives — or until the earliest queued
         // deadline passes, so expired entries are retracted promptly
@@ -1046,17 +1107,24 @@ fn next_dispatch(inner: &Inner) -> Option<Vec<Entry>> {
             None => wait(&inner.work, st),
         };
     };
+    if idle {
+        st.idle -= 1;
+    }
     inner.space.notify_all();
     let max_batch = inner.config.max_batch;
     let window = Instant::now() + inner.config.max_wait;
+    let went_idle = st.went_idle;
+    let served = inner.served_ns.load(Ordering::Relaxed);
+    let anchored = ns_at(inner, first.dequeued.unwrap_or(first.enqueued));
+    let sustained = served != 0
+        && u128::from(anchored.saturating_sub(served)) < inner.config.max_wait.as_nanos() / 2;
     let mut images = first.images.len();
     let mut batch = vec![first];
     loop {
         let took = gather_round(inner, &mut st, &mut batch, &mut images, Instant::now());
         // Dispatch when full or shutting down; when only incompatible
         // heads remain (never reorder around them within a lane), keep
-        // gathering while rounds still make progress; otherwise wait out
-        // the batching window for stragglers.
+        // gathering while rounds still make progress.
         if images >= max_batch || st.shutting_down {
             break;
         }
@@ -1066,12 +1134,20 @@ fn next_dispatch(inner: &Inner) -> Option<Vec<Entry>> {
             }
             break;
         }
+        // The queue is empty. A quiet pool waits for stragglers only
+        // while every other worker is busy; sustained load keeps the
+        // window.
+        if !sustained && (st.idle > 0 || st.went_idle != went_idle) {
+            break;
+        }
         let now = Instant::now();
         if now >= window {
             break;
         }
-        let (guard, timed_out) = wait_timeout(&inner.work, st, window - now);
+        st.stragglers += 1;
+        let (guard, timed_out) = wait_timeout(&inner.straggle, st, window - now);
         st = guard;
+        st.stragglers -= 1;
         if timed_out {
             // One last gather below is pointless — the wait only returns
             // with the lock held, so the queue state is current.
@@ -1096,10 +1172,14 @@ fn next_dispatch(inner: &Inner) -> Option<Vec<Entry>> {
     }
     // This worker may have consumed a submit's `notify_one` for an entry
     // it is deliberately leaving queued (incompatible tile override, or a
-    // batch that would not fit). Re-signal so an idle worker picks it up
-    // instead of waiting out this whole dispatch.
+    // batch that would not fit). Re-signal so an idle worker — or another
+    // worker waiting for stragglers — picks it up instead of waiting out
+    // this whole dispatch.
     if st.total_queued > 0 {
         inner.work.notify_one();
+        if st.stragglers > 0 {
+            inner.straggle.notify_one();
+        }
     }
     drop(st);
     Some(kept)
@@ -1184,6 +1264,7 @@ fn serve_dispatch(inner: &Inner, worker: usize, session: &Session<'_, 'static>, 
     };
     let infer_done = Instant::now();
     let busy = infer_done.saturating_duration_since(served_at);
+    inner.served_ns.fetch_max(ns_at(inner, infer_done).max(1), Ordering::Relaxed);
 
     let mut shard = lock(&inner.shards[worker]);
     shard.dispatches += 1;

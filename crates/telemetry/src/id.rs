@@ -63,6 +63,12 @@ impl RequestId {
         header.and_then(|h| Self::parse(h).ok()).unwrap_or_else(Self::generate)
     }
 
+    /// Rebuild an id from the bytes of one that was already accepted
+    /// (the flight recorder's packed slots), skipping re-validation.
+    pub(crate) fn from_recorded(id: &str) -> Self {
+        Self(Arc::from(id))
+    }
+
     /// The id as a string slice.
     #[must_use]
     pub fn as_str(&self) -> &str {

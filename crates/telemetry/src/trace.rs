@@ -25,7 +25,10 @@ pub enum Stage {
     Submit = 2,
     /// Queue residence: from enqueue to a worker popping the request.
     QueueWait = 3,
-    /// Dynamic batching: from pop to the coalesced batch sealing.
+    /// Dynamic batching: from pop to the coalesced batch sealing. Near
+    /// zero while the pool is quiet and another worker is idle; up to the
+    /// runtime's `max_wait` straggler wait while every other worker is
+    /// busy or the pool is under sustained load.
     BatchWait = 4,
     /// The planned forward itself.
     Infer = 5,

@@ -38,8 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Spawn the worker pool. Each worker owns a private session (plan
     //    cache + workspace); the bounded queue gives explicit
-    //    backpressure; the batcher coalesces compatible requests for up
-    //    to `max_wait`.
+    //    backpressure; the batcher coalesces compatible requests, waiting
+    //    up to `max_wait` for stragglers while every other worker is busy
+    //    or the pool is under sustained load.
     let runtime = Runtime::spawn(
         engine,
         RuntimeConfig {

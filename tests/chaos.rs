@@ -70,6 +70,47 @@ fn engine(seed: u64) -> Engine<'static> {
     Engine::builder().model(net).precision(Precision::Deployed).build().unwrap()
 }
 
+/// Work-conserving batching with a busy peer: while the other worker is
+/// wedged on an injected dispatch stall, a lone request waits for
+/// stragglers — and that wait ends the moment the wedged worker turns
+/// idle, far inside the 30 s window. Asserted on runtime stamps.
+#[test]
+fn a_straggler_wait_ends_as_soon_as_the_busy_worker_turns_idle() {
+    let _chaos = chaos_lock();
+    with_watchdog(120, "straggler-wait", || {
+        let window = Duration::from_secs(30);
+        let runtime = Runtime::spawn(
+            engine(37),
+            RuntimeConfig { workers: 2, max_batch: 8, max_wait: window, ..RuntimeConfig::default() },
+        )
+        .unwrap();
+        // Only the first dispatch stalls: the wedge.
+        let _fault =
+            faults::arm_times("runtime.dispatch", FaultAction::Delay(Duration::from_secs(1)), 1);
+        let wedge = runtime.submit(SrRequest::single(probe(6, 6, 3_700))).unwrap();
+        // The fault point is evaluated before the stall, so from here on
+        // the wedge's worker is busy.
+        while faults::hits("runtime.dispatch") == 0 {
+            std::thread::yield_now();
+        }
+        let lone = runtime.submit(SrRequest::single(probe(6, 6, 3_701))).unwrap();
+        let wedge = wedge.wait().unwrap().stamps().expect("runtime responses carry stamps");
+        let lone = lone.wait().unwrap().stamps().expect("runtime responses carry stamps");
+        assert!(
+            lone.dequeued < wedge.infer_done,
+            "the lone request must be popped while the other worker is busy"
+        );
+        assert!(
+            lone.sealed >= wedge.infer_done,
+            "with every other worker busy, the lone request waits for stragglers"
+        );
+        let held = lone.sealed - lone.dequeued;
+        assert!(held < window / 10, "the straggler wait outlived the busy worker: {held:?}");
+        let stats = runtime.shutdown();
+        assert_eq!(stats.dispatches, 2, "the wedge and the lone request never shared a dispatch");
+    });
+}
+
 /// A worker panics mid-dispatch under sustained load: the poisoned
 /// dispatch resolves as a typed failure (never a hang), every other
 /// ticket is served, and the survivor worker keeps the runtime open for

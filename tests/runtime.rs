@@ -390,6 +390,64 @@ fn dynamic_batching_coalesces_a_backlog_of_single_image_callers() {
     });
 }
 
+/// Work-conserving batching: on a quiet pool with another worker idle, a
+/// lone request seals at once instead of waiting out the straggler
+/// window. Asserted on the runtime's own stamps against a window far
+/// longer than any scheduling delay.
+#[test]
+fn a_lone_request_seals_at_once_while_another_worker_is_idle() {
+    with_watchdog(120, "work-conserving-idle", || {
+        let window = Duration::from_secs(30);
+        let runtime = Runtime::spawn(
+            engine_for(Method::scales(), Backend::Scalar, 12),
+            RuntimeConfig { workers: 2, max_batch: 8, max_wait: window, ..RuntimeConfig::default() },
+        )
+        .unwrap();
+        let response = runtime.submit(SrRequest::single(probe(8, 8, 520))).unwrap().wait().unwrap();
+        let stamps = response.stamps().expect("runtime responses carry stamps");
+        let held = stamps.sealed - stamps.dequeued;
+        assert!(held < window / 10, "held {held:?} for stragglers while a worker was idle");
+        let stats = runtime.shutdown();
+        assert_eq!(stats.completed, 1);
+        assert_eq!(stats.dispatches, 1);
+    });
+}
+
+/// Sustained load keeps the window: a request anchored less than half a
+/// window after the previous dispatch finished waits out the full
+/// straggler window even though a worker is idle; one anchored later is
+/// a quiet-pool request and seals at once. The branch is read from the
+/// runtime's own stamps, so the assertion holds however the threads are
+/// scheduled — with a 4 s window the first branch is the one taken.
+#[test]
+fn back_to_back_requests_keep_the_window_under_sustained_load() {
+    with_watchdog(120, "sustained-load-window", || {
+        let window = Duration::from_secs(4);
+        let runtime = Runtime::spawn(
+            engine_for(Method::scales(), Backend::Scalar, 12),
+            RuntimeConfig { workers: 2, max_batch: 8, max_wait: window, ..RuntimeConfig::default() },
+        )
+        .unwrap();
+        let stamps = |seed: u64| {
+            let response =
+                runtime.submit(SrRequest::single(probe(8, 8, seed))).unwrap().wait().unwrap();
+            response.stamps().expect("runtime responses carry stamps")
+        };
+        let first = stamps(530);
+        let second = stamps(531);
+        let gap = second.dequeued.saturating_duration_since(first.infer_done);
+        let held = second.sealed - second.dequeued;
+        if gap < window / 2 {
+            assert!(held >= window, "anchored {gap:?} after a dispatch, yet held only {held:?}");
+        } else {
+            assert!(held < window / 10, "anchored {gap:?} after a dispatch, yet held {held:?}");
+        }
+        let stats = runtime.shutdown();
+        assert_eq!(stats.completed, 2);
+        assert_eq!(stats.dispatches, 2);
+    });
+}
+
 /// Spawn a one-lane runtime (single worker, no coalescing) and wedge its
 /// worker with a deliberately heavy request, so everything submitted
 /// afterwards sits in the queue under the admission controller's eyes.
@@ -469,21 +527,18 @@ fn deadline_tagged_requests_are_scheduled_earliest_deadline_first() {
             )
             .unwrap();
         assert_eq!(wedge.wait().unwrap().images().len(), 12);
-        // Completion stamps: with one worker and max_batch 1 the serving
-        // is strictly serial, so resolution order is dispatch order.
-        let order = std::thread::scope(|scope| {
-            let stamp = |ticket: Ticket, label: &'static str| {
-                scope.spawn(move || {
-                    assert!(ticket.wait().is_ok(), "{label} must serve");
-                    (std::time::Instant::now(), label)
-                })
-            };
-            let handles =
-                [stamp(tight, "tight"), stamp(loose, "loose"), stamp(untagged, "untagged")];
-            let mut done: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            done.sort();
-            done.into_iter().map(|(_, label)| label).collect::<Vec<_>>()
-        });
+        // Dispatch order from the runtime's own stamps: each response
+        // carries the instant a worker dequeued it, so the order is the
+        // scheduler's decision, not the waiter threads' wake-up order.
+        let mut dequeued: Vec<_> = [(tight, "tight"), (loose, "loose"), (untagged, "untagged")]
+            .into_iter()
+            .map(|(ticket, label)| {
+                let response = ticket.wait().unwrap_or_else(|e| panic!("{label} must serve: {e}"));
+                (response.stamps().expect("runtime responses carry stamps").dequeued, label)
+            })
+            .collect();
+        dequeued.sort();
+        let order: Vec<&str> = dequeued.into_iter().map(|(_, label)| label).collect();
         assert_eq!(order, ["tight", "loose", "untagged"], "EDF order");
         let stats = runtime.shutdown();
         assert_eq!(stats.completed, 4);
